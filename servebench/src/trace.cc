@@ -147,22 +147,6 @@ std::map<std::string, LayerTotals> SummarizeSpans(
   return out;
 }
 
-std::map<uint64_t, double> CoveredMsByRequest(const std::vector<Span>& spans,
-                                              const char* name) {
-  std::map<uint64_t, std::vector<std::pair<int64_t, int64_t>>> by_request;
-  for (const Span& s : spans) {
-    if (s.request != 0 && std::string(s.name) == name) {
-      by_request[s.request].emplace_back(s.start_ns, s.end_ns);
-    }
-  }
-  std::map<uint64_t, double> out;
-  for (auto& [request, intervals] : by_request) {
-    out[request] =
-        CoveredNanos(intervals, INT64_MIN, INT64_MAX) * 1e-6;
-  }
-  return out;
-}
-
 bool WriteSpans(const std::string& path, const std::vector<Span>& spans) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;

@@ -11,9 +11,10 @@
 //   * TimingProbe, a ShardProbe decorator attached through
 //     WwtService::AttachRemoteProbes, times every per-shard index probe
 //     on the serving path itself;
-//   * the replay in main.cc re-runs a served response's sub-stages
-//     (parse, table reads, candidate build, quick map, potentials,
-//     edges, map, consolidate) on that response's own candidate set.
+//   * the replay in main.cc re-runs the sub-stages of a served response
+//     that the engine's own stage timer does not split out (parse,
+//     table reads, candidate build, quick map, potentials, edges) on
+//     that response's own candidate set.
 
 #ifndef SERVEBENCH_TRACE_H_
 #define SERVEBENCH_TRACE_H_
@@ -176,12 +177,6 @@ struct LayerTotals {
 };
 std::map<std::string, LayerTotals> SummarizeSpans(
     const std::vector<Span>& spans);
-
-/// Per request: wall milliseconds covered by the union of its spans
-/// named `name` (shard probes of one scatter run in parallel, so their
-/// durations must not be summed).
-std::map<uint64_t, double> CoveredMsByRequest(const std::vector<Span>& spans,
-                                              const char* name);
 
 /// Writes one JSON object per span.
 bool WriteSpans(const std::string& path, const std::vector<Span>& spans);

@@ -1,25 +1,26 @@
 // Copyright 2026 The WWT Authors
 //
-// Cold-start bench: the zero-copy claim, measured. Builds one corpus,
-// saves it as both a v3 (materialized-load) and a v4 (mmap-native)
-// snapshot, then times LoadSnapshot of each — the v4 load is an mmap +
-// O(nterms) structural validation, so it should beat the v3
-// decode-everything load by an order of magnitude at serving scales.
-// Both loads are verified to serve the stored workload byte-identically
-// before any number is reported; post-load RSS deltas show how much of
-// each corpus is resident vs paged.
+// Cold-start bench: the build-once / serve-frozen split (§2.1),
+// measured. Generates the corpus from scratch N times, saves it as a v4
+// (mmap-native) snapshot, then loads that snapshot N times — the load
+// is an mmap + O(nterms) structural validation, so it should beat the
+// rebuild by orders of magnitude at every scale. The gated ratio is
+// min(generate) / min(load). The loaded corpus is verified to serve the
+// stored workload byte-identically to the in-memory build before any
+// number is reported; the post-load RSS delta shows how little of the
+// corpus the load makes resident.
 //
 // Knobs (on top of bench_common's WWT_SCALE / WWT_SEED /
 // WWT_BENCH_JSON):
-//   WWT_COLDSTART_REPS — load repetitions per version; the minimum is
-//                        reported (default 3)
+//   WWT_COLDSTART_REPS — repetitions of both the generate and the load;
+//                        the minimum of each is reported (default 3)
 //
 // JSON summary (WWT_BENCH_JSON), gated by bench_compare:
 //   {"bench": "coldstart", "scale": ..., "seed": ..., "reps": ...,
-//    "generate_seconds": ..., "file_bytes_v3": ..., "file_bytes_v4": ...,
-//    "load_v3_seconds": ..., "load_v4_seconds": ..., "speedup": ...,
-//    "rss_v3_kb": ..., "rss_v4_kb": ..., "identical": true}
+//    "file_bytes": ..., "generate_seconds": ..., "load_seconds": ...,
+//    "load_speedup": ..., "rss_load_kb": ..., "identical": true}
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,23 +67,6 @@ uint64_t FileBytes(const std::string& path) {
   return file.ok() ? file->size() : 0;
 }
 
-// Minimum LoadSnapshot wall time over `reps` runs; the last load (and
-// its SnapshotInfo) is kept so the caller can serve from it.
-double TimeLoads(const std::string& path, int reps,
-                 std::optional<Corpus>* out, SnapshotInfo* info) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    out->reset();
-    WallTimer timer;
-    StatusOr<Corpus> loaded = LoadSnapshot(path, info);
-    const double seconds = timer.ElapsedSeconds();
-    WWT_CHECK_OK(loaded.status());
-    out->emplace(std::move(*loaded));
-    if (r == 0 || seconds < best) best = seconds;
-  }
-  return best;
-}
-
 std::vector<std::vector<std::string>> WorkloadQueries(const Corpus& corpus) {
   std::vector<std::vector<std::string>> out;
   for (const ResolvedQuery& rq : corpus.queries) {
@@ -120,65 +104,69 @@ std::string TempSnapshotPath(const char* name) {
 int main() {
   const double scale = EnvScale();
   const uint64_t seed = EnvSeed();
-  const int reps = EnvInt("WWT_COLDSTART_REPS", 3);
+  const int reps = std::max(1, EnvInt("WWT_COLDSTART_REPS", 3));
 
   CorpusOptions options;
   options.seed = seed;
   options.scale = scale;
+  const std::string path = TempSnapshotPath("v4");
 
-  const std::string v3_path = TempSnapshotPath("v3");
-  const std::string v4_path = TempSnapshotPath("v4");
-
+  // Rebuild side: min of `reps` from-scratch builds. The last one stays
+  // as the in-memory reference the loaded corpus is checked against.
+  std::optional<Corpus> built;
   double generate_seconds = 0;
-  {
-    // Build once, save both versions, then drop the builder corpus so
-    // the loads below are measured against a quiet heap.
+  for (int r = 0; r < reps; ++r) {
+    built.reset();
     WallTimer timer;
-    Corpus corpus = GenerateCorpus(options);
-    generate_seconds = timer.ElapsedSeconds();
-    WWT_CHECK_OK(SaveSnapshotAtVersion(corpus, options, v3_path, 3));
-    WWT_CHECK_OK(SaveSnapshot(corpus, options, v4_path));
+    built.emplace(GenerateCorpus(options));
+    const double seconds = timer.ElapsedSeconds();
+    if (r == 0 || seconds < generate_seconds) generate_seconds = seconds;
   }
-  const uint64_t file_bytes_v3 = FileBytes(v3_path);
-  const uint64_t file_bytes_v4 = FileBytes(v4_path);
+  WWT_CHECK_OK(SaveSnapshot(*built, options, path));
+  const uint64_t file_bytes = FileBytes(path);
   std::fprintf(stderr,
-               "[bench] corpus scale=%.2f seed=%llu built in %.2f s "
-               "(v3 %llu bytes, v4 %llu bytes)\n",
+               "[bench] corpus scale=%.2f seed=%llu built in %.4f s "
+               "(min of %d), snapshot %llu bytes\n",
                scale, static_cast<unsigned long long>(seed),
-               generate_seconds,
-               static_cast<unsigned long long>(file_bytes_v3),
-               static_cast<unsigned long long>(file_bytes_v4));
+               generate_seconds, reps,
+               static_cast<unsigned long long>(file_bytes));
 
-  // v4 first so its RSS delta is read against the post-build floor; the
-  // v3 delta is then read on top of the (still-pinned) v4 mapping,
-  // which only pages in what serving touched.
-  std::optional<Corpus> v4_corpus;
-  SnapshotInfo v4_info;
-  const long rss_before_v4 = ResidentKb();
-  const double load_v4_seconds = TimeLoads(v4_path, reps, &v4_corpus, &v4_info);
-  const long rss_v4_kb = ResidentKb() - rss_before_v4;
+  // Load side: min of `reps` loads; the last one is served below.
+  std::optional<Corpus> loaded;
+  SnapshotInfo info;
+  double load_seconds = 0;
+  const long rss_before = ResidentKb();
+  for (int r = 0; r < reps; ++r) {
+    loaded.reset();
+    WallTimer timer;
+    StatusOr<Corpus> corpus = LoadSnapshot(path, &info);
+    const double seconds = timer.ElapsedSeconds();
+    WWT_CHECK_OK(corpus.status());
+    loaded.emplace(std::move(*corpus));
+    if (r == 0 || seconds < load_seconds) load_seconds = seconds;
+  }
+  const long rss_load_kb = ResidentKb() - rss_before;
 
-  std::optional<Corpus> v3_corpus;
-  SnapshotInfo v3_info;
-  const long rss_before_v3 = ResidentKb();
-  const double load_v3_seconds = TimeLoads(v3_path, reps, &v3_corpus, &v3_info);
-  const long rss_v3_kb = ResidentKb() - rss_before_v3;
+  const double load_speedup =
+      load_seconds > 0 ? generate_seconds / load_seconds : 0;
+  std::printf("cold start: generate %.4f s, v4 load %.6f s  (%.1fx, min of "
+              "%d each)\n",
+              generate_seconds, load_seconds, load_speedup, reps);
+  std::printf("rss delta:  v4 load %+ld kB\n", rss_load_kb);
 
-  const double speedup =
-      load_v4_seconds > 0 ? load_v3_seconds / load_v4_seconds : 0;
-  std::printf("cold start: v3 %.4f s, v4 %.4f s  (%.1fx, min of %d)\n",
-              load_v3_seconds, load_v4_seconds, speedup, reps);
-  std::printf("rss delta:  v3 %+ld kB, v4 %+ld kB\n", rss_v3_kb, rss_v4_kb);
-
-  // Correctness gate: both loads must answer the stored workload with
-  // byte-identical digests. No number above matters if this is false.
-  const std::vector<std::string> v3_digests =
-      ServeDigests(*v3_corpus, v3_info.content_hash);
-  const std::vector<std::string> v4_digests =
-      ServeDigests(*v4_corpus, v4_info.content_hash);
-  bool identical = v3_digests == v4_digests && !v3_digests.empty();
-  std::printf("answers:    %zu workload queries, %s\n", v3_digests.size(),
-              identical ? "byte-identical across versions" : "DIVERGED");
+  // Correctness gate: the loaded snapshot must answer the stored
+  // workload with the in-memory build's digests, byte for byte. No
+  // number above matters if this is false.
+  const std::vector<std::string> built_digests =
+      ServeDigests(*built, info.content_hash);
+  const std::vector<std::string> loaded_digests =
+      ServeDigests(*loaded, info.content_hash);
+  const bool identical =
+      built_digests == loaded_digests && !built_digests.empty();
+  std::printf("answers:    %zu workload queries, %s\n",
+              built_digests.size(),
+              identical ? "byte-identical to the in-memory build"
+                        : "DIVERGED");
 
   if (FILE* json = OpenBenchJson()) {
     std::fprintf(json,
@@ -187,26 +175,20 @@ int main() {
                  "  \"scale\": %.4f,\n"
                  "  \"seed\": %llu,\n"
                  "  \"reps\": %d,\n"
-                 "  \"generate_seconds\": %.4f,\n"
-                 "  \"file_bytes_v3\": %llu,\n"
-                 "  \"file_bytes_v4\": %llu,\n"
-                 "  \"load_v3_seconds\": %.6f,\n"
-                 "  \"load_v4_seconds\": %.6f,\n"
-                 "  \"speedup\": %.2f,\n"
-                 "  \"rss_v3_kb\": %ld,\n"
-                 "  \"rss_v4_kb\": %ld,\n"
+                 "  \"file_bytes\": %llu,\n"
+                 "  \"generate_seconds\": %.6f,\n"
+                 "  \"load_seconds\": %.6f,\n"
+                 "  \"load_speedup\": %.2f,\n"
+                 "  \"rss_load_kb\": %ld,\n"
                  "  \"identical\": %s\n"
                  "}\n",
                  scale, static_cast<unsigned long long>(seed), reps,
-                 generate_seconds,
-                 static_cast<unsigned long long>(file_bytes_v3),
-                 static_cast<unsigned long long>(file_bytes_v4),
-                 load_v3_seconds, load_v4_seconds, speedup, rss_v3_kb,
-                 rss_v4_kb, identical ? "true" : "false");
+                 static_cast<unsigned long long>(file_bytes),
+                 generate_seconds, load_seconds, load_speedup, rss_load_kb,
+                 identical ? "true" : "false");
     std::fclose(json);
   }
 
-  std::remove(v3_path.c_str());
-  std::remove(v4_path.c_str());
+  std::remove(path.c_str());
   return identical ? 0 : 1;
 }

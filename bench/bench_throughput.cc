@@ -22,18 +22,14 @@
 // relative to the unsharded engine lands in `shard_fanout`.
 //
 // When WWT_SNAPSHOT is set the corpus is build-or-loaded through the
-// snapshot file and the bench additionally measures the cold-start
-// ratio: snapshot load vs corpus rebuild + index build (the paper's
-// build-once / serve-frozen split, §2.1).
+// snapshot file and every sweep serves the loaded (zero-copy) corpus,
+// like the serving path does. The load-vs-rebuild ratio is
+// bench_coldstart's to measure and gate.
 //
 // Extra knobs (on top of bench_common's WWT_SCALE / WWT_SEED /
 // WWT_SNAPSHOT / WWT_BENCH_JSON):
 //   WWT_BATCH_MULT        — workload replication factor (default 4)
 //   WWT_MAX_THREADS       — top of the thread sweep (default: max(4, hw))
-//   WWT_MEASURE_COLD_START — when 1 and the snapshot loaded warm, also
-//                            time a fresh rebuild for the load-vs-build
-//                            ratio (default 0: warm runs stay cheap; CI's
-//                            bench job sets it)
 
 #include <algorithm>
 #include <string>
@@ -65,62 +61,26 @@ int main() {
   corpus_options.seed = EnvSeed();
   corpus_options.scale = EnvScale();
 
-  // Obtain the corpus; with a snapshot path, measure both sides of the
-  // cold-start split so the artifact's payoff is a reported number.
+  // Obtain the corpus. A freshly built snapshot is loaded back so a
+  // cold run serves the same zero-copy corpus a warm run does.
   const std::string snapshot_path = SnapshotPathFromEnv();
   BuildOrLoadResult result =
       BuildOrLoadCorpus(corpus_options, snapshot_path);
   Corpus corpus = std::move(result.corpus);
   // format_version stays 0 when the save failed — no artifact on disk.
-  const bool snapshot_used =
-      !snapshot_path.empty() && result.info.format_version != 0;
-  const bool snapshot_loaded = result.loaded;
-  double build_seconds = 0, load_seconds = 0;
-  if (snapshot_loaded) {
-    load_seconds = result.seconds;
-    // Re-measuring the rebuild would pay the exact cost the snapshot
-    // exists to avoid, so it is opt-in (CI's bench job opts in).
-    if (EnvInt("WWT_MEASURE_COLD_START", 0) == 1) {
-      std::fprintf(stderr,
-                   "[bench] loaded snapshot in %.3f s; timing a fresh "
-                   "rebuild for the cold-start ratio\n",
-                   load_seconds);
-      WallTimer build_timer;
-      Corpus rebuilt = GenerateCorpus(corpus_options);
-      build_seconds = build_timer.ElapsedSeconds();
-    } else {
-      std::fprintf(stderr,
-                   "[bench] loaded snapshot in %.3f s (set "
-                   "WWT_MEASURE_COLD_START=1 to time the rebuild)\n",
-                   load_seconds);
+  if (!result.loaded && result.info.format_version != 0) {
+    StatusOr<Corpus> loaded = LoadSnapshot(snapshot_path);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "[bench] load-back failed: %s\n",
+                   loaded.status().ToString().c_str());
+      return 1;
     }
-  } else {
-    // generate + index only — excluding the snapshot save, so the
-    // ratio matches what a warm-run rebuild measurement would report.
-    build_seconds = result.generate_seconds;
-    if (snapshot_used) {
-      std::fprintf(stderr,
-                   "[bench] built snapshot in %.3f s; timing the load "
-                   "path for the cold-start ratio\n",
-                   build_seconds);
-      WallTimer load_timer;
-      StatusOr<Corpus> loaded = LoadSnapshot(snapshot_path);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "[bench] load-back failed: %s\n",
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      load_seconds = load_timer.ElapsedSeconds();
-      // Serve from the loaded corpus: the production path under test.
-      corpus = std::move(loaded).value();
-    } else {
-      std::fprintf(stderr,
-                   "[bench] generated corpus in %.3f s (scale=%.2f "
-                   "seed=%llu)\n",
-                   build_seconds, corpus_options.scale,
-                   static_cast<unsigned long long>(corpus_options.seed));
-    }
+    corpus = std::move(loaded).value();
   }
+  std::fprintf(stderr, "[bench] %s corpus in %.3f s (scale=%.2f seed=%llu)\n",
+               result.loaded ? "loaded" : "built", result.seconds,
+               corpus_options.scale,
+               static_cast<unsigned long long>(corpus_options.seed));
 
   // The serving snapshot every sweep point runs against.
   std::shared_ptr<const CorpusHandle> handle = CorpusHandle::Own(
@@ -158,16 +118,6 @@ int main() {
   const int max_threads = EnvInt("WWT_MAX_THREADS", std::max(4, hw));
   std::printf("=== Batch serving throughput (hardware threads: %d) ===\n",
               hw);
-  if (snapshot_used && build_seconds > 0) {
-    std::printf(
-        "cold start: snapshot load %.3f s vs corpus rebuild %.3f s — "
-        "%.1fx speedup\n",
-        load_seconds, build_seconds,
-        load_seconds > 0 ? build_seconds / load_seconds : 0.0);
-  } else if (snapshot_used) {
-    std::printf("cold start: snapshot load %.3f s (rebuild not timed)\n",
-                load_seconds);
-  }
   std::printf("serial reference: %.2f s for %zu queries (%.1f QPS)\n\n",
               serial_seconds, queries.size(), serial_qps);
   std::printf("%8s%10s%10s%12s%10s%10s%10s\n", "threads", "QPS",
@@ -535,16 +485,6 @@ int main() {
                    i + 1 < probe_sweep.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
-    std::fprintf(json,
-                 "  \"snapshot\": {\"used\": %s, \"loaded\": %s, "
-                 "\"load_seconds\": %.6f, \"build_seconds\": %.6f, "
-                 "\"speedup\": %.2f},\n",
-                 snapshot_used ? "true" : "false",
-                 snapshot_loaded ? "true" : "false", load_seconds,
-                 build_seconds,
-                 snapshot_used && load_seconds > 0
-                     ? build_seconds / load_seconds
-                     : 0.0);
     std::fprintf(json, "  \"sweep\": [\n");
     for (size_t i = 0; i < sweep.size(); ++i) {
       const SweepPoint& p = sweep[i];

@@ -141,7 +141,7 @@ class CorpusHandle {
   /// Borrow of in-memory corpora.
   uint32_t format_version() const { return format_version_; }
   /// Bytes served straight from the pinned file mapping (the whole
-  /// artifact for a zero-copy v4 corpus; 0 for materialized ones).
+  /// artifact for a loaded corpus; 0 for in-memory ones).
   uint64_t mapped_bytes() const;
   /// Heap bytes of the store + index (postings, scoring layout, vocab,
   /// df — near zero for a zero-copy corpus).
@@ -214,7 +214,7 @@ class CorpusSet {
   /// wwt_indexer); 0 when the set serves in-memory corpora.
   uint32_t format_version() const;
   /// Mapped/heap byte totals across the shards — the operator-visible
-  /// split between zero-copy and materialized serving state.
+  /// split between zero-copy and in-memory serving state.
   uint64_t mapped_bytes() const;
   uint64_t heap_bytes() const;
 

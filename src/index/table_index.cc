@@ -233,35 +233,6 @@ void TableIndex::InstallGlobalStats(const IdfDictionary& idf) {
   }
 }
 
-void TableIndex::FinishScoringLayout(ScoringLayout* layout) {
-  const uint64_t bs = std::max<uint32_t>(1u, layout->block_size);
-  const size_t nterms =
-      layout->offsets.empty() ? 0 : layout->offsets.size() - 1;
-  layout->block_last.clear();
-  layout->block_max.clear();
-  layout->block_offsets.clear();
-  layout->block_offsets.reserve(nterms + 1);
-  layout->block_offsets.push_back(0);
-  layout->term_max.assign(nterms, 0.0);
-  for (size_t t = 0; t < nterms; ++t) {
-    const uint64_t begin = layout->offsets[t];
-    const uint64_t end = layout->offsets[t + 1];
-    double tmax = 0.0;
-    for (uint64_t b = begin; b < end; b += bs) {
-      const uint64_t be = std::min(end, b + bs);
-      double bmax = 0.0;
-      for (uint64_t i = b; i < be; ++i) {
-        bmax = std::max(bmax, layout->scores[i]);
-      }
-      layout->block_last.push_back(layout->docs[be - 1]);
-      layout->block_max.push_back(bmax);
-      tmax = std::max(tmax, bmax);
-    }
-    layout->term_max[t] = tmax;
-    layout->block_offsets.push_back(layout->block_last.size());
-  }
-}
-
 void TableIndex::EnsureScoringLayout() const {
   if (scoring_ready_.load(std::memory_order_acquire)) return;
   MutexLock lock(scoring_mu_);
@@ -313,7 +284,30 @@ void TableIndex::EnsureScoringLayout() const {
     }
     layout.offsets.push_back(layout.docs.size());
   }
-  FinishScoringLayout(&layout);
+
+  // Block boundaries, block maxima and term maxima over the merged
+  // postings — what WAND's skips consult.
+  const uint64_t bs = layout.block_size;
+  layout.block_offsets.reserve(nterms + 1);
+  layout.block_offsets.push_back(0);
+  layout.term_max.assign(nterms, 0.0);
+  for (size_t t = 0; t < nterms; ++t) {
+    const uint64_t begin = layout.offsets[t];
+    const uint64_t end = layout.offsets[t + 1];
+    double tmax = 0.0;
+    for (uint64_t b = begin; b < end; b += bs) {
+      const uint64_t be = std::min(end, b + bs);
+      double bmax = 0.0;
+      for (uint64_t i = b; i < be; ++i) {
+        bmax = std::max(bmax, layout.scores[i]);
+      }
+      layout.block_last.push_back(layout.docs[be - 1]);
+      layout.block_max.push_back(bmax);
+      tmax = std::max(tmax, bmax);
+    }
+    layout.term_max[t] = tmax;
+    layout.block_offsets.push_back(layout.block_last.size());
+  }
 
   scoring_ = std::move(layout);
   scoring_ready_.store(true, std::memory_order_release);

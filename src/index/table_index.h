@@ -15,9 +15,9 @@
 //    matching Q in header-or-context and B(cell) the set matching the
 //    cell words in content.
 //
-// Storage sits behind a PostingsSource: heap vectors while building (or
-// after loading a materialized v2/v3 snapshot), or varint-compressed
-// blobs read in place from a memory-mapped v4 snapshot. The scorers run
+// Storage sits behind a PostingsSource: heap vectors while building, or
+// varint-compressed blobs read in place from a memory-mapped v4
+// snapshot. The scorers run
 // over a ScoringView of raw arrays that points at either the heap
 // layout or the mapping — the algorithms never know which.
 
@@ -150,8 +150,8 @@ class MappedPostingsSource final : public PostingsSource {
 /// scorers run over: term t's postings live at [offsets[t],
 /// offsets[t+1]) of the parallel docs/scores arrays, its blocks at
 /// [block_offsets[t], block_offsets[t+1]) of block_last/block_max.
-/// Points at heap vectors (build mode / v2-v3 load) or straight into a
-/// v4 snapshot mapping — identical scoring either way.
+/// Points at heap vectors (build mode) or straight into a v4 snapshot
+/// mapping — identical scoring either way.
 struct ScoringView {
   uint32_t block_size = 0;
   size_t num_terms = 0;
@@ -303,14 +303,9 @@ class TableIndex : public CorpusStats {
                                     std::initializer_list<Field> fields) const;
 
   /// Builds the merged scoring layout on first use (thread-safe; Search
-  /// is const and concurrent). Snapshot load installs a prebuilt layout
-  /// (v2/v3) or a mapped view (v4) instead; Add() invalidates it.
+  /// is const and concurrent). Snapshot load installs a mapped view
+  /// instead; Add() invalidates it.
   void EnsureScoringLayout() const;
-  /// Recomputes block boundaries, block maxima and term maxima from
-  /// scoring_.docs/scores/offsets + block_size (used by the builder and
-  /// by v2/v3 snapshot load, which deserializes only the primary
-  /// arrays).
-  static void FinishScoringLayout(ScoringLayout* layout);
 
   /// The raw-array view the scorers run over: the mapped view on a v4
   /// index, otherwise a view of the heap layout. Call only after
@@ -338,12 +333,12 @@ class TableIndex : public CorpusStats {
   std::unique_ptr<PostingsSource> postings_;
   HeapPostingsSource* heap_ = nullptr;
 
-  /// Lazily built from the heap postings/lengths/idf_ (or installed by
-  /// v2/v3 snapshot load). scoring_ready_ is set with release order
-  /// after the layout is complete; readers check it with acquire order,
-  /// so a true read guarantees visibility of the layout without taking
-  /// the mutex. A v4 load bypasses it entirely: mapped_scoring_ points
-  /// into the mapping and scoring_ready_ is true from installation.
+  /// Lazily built from the heap postings/lengths/idf_. scoring_ready_ is
+  /// set with release order after the layout is complete; readers check
+  /// it with acquire order, so a true read guarantees visibility of the
+  /// layout without taking the mutex. A snapshot load bypasses it
+  /// entirely: mapped_scoring_ points into the mapping and
+  /// scoring_ready_ is true from installation.
   ///
   /// scoring_ is deliberately NOT WWT_GUARDED_BY(scoring_mu_): the hot
   /// read path is lock-free by design (publication is the

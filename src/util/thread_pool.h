@@ -1,9 +1,10 @@
 // Copyright 2026 The WWT Authors
 //
 // Fixed-size worker pool over a FIFO task queue — the execution substrate
-// of the batch query-serving layer (QueryRunner) and the parallel
-// evaluation harness. Tasks are arbitrary callables submitted with
-// Submit(); results and exceptions travel back through std::future.
+// of WwtService: its request pool (which the evaluation harness batches
+// through too), the shard fan-out pool and background delta merges.
+// Tasks are arbitrary callables submitted with Submit(); results and
+// exceptions travel back through std::future.
 
 #ifndef WWT_UTIL_THREAD_POOL_H_
 #define WWT_UTIL_THREAD_POOL_H_

@@ -92,7 +92,7 @@ struct ServiceStats {
   uint32_t corpus_format = 0;
   /// The zero-copy split: bytes served straight from pinned file
   /// mappings vs heap bytes of the store/index structures. A v4 set is
-  /// all mapped_bytes; a v2/v3 or in-memory one is all heap_bytes.
+  /// all mapped_bytes; an in-memory one is all heap_bytes.
   uint64_t mapped_bytes = 0;
   uint64_t heap_bytes = 0;
   /// Request pool width, and the shard fan-out pool's (0 until a
@@ -186,8 +186,7 @@ class WwtService {
   BatchResponse RunBatch(std::vector<QueryRequest> requests,
                          int concurrency = 0);
 
-  /// Keyword-list convenience (the pre-service QueryRunner::RunBatch
-  /// signature).
+  /// Keyword-list convenience: one default QueryRequest per entry.
   BatchResponse RunBatch(const std::vector<std::vector<std::string>>& queries,
                          int concurrency = 0);
 

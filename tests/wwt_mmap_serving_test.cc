@@ -5,8 +5,9 @@
 // exactly as long as anything can still read it — in-flight requests
 // across a SwapCorpus that drops the last owner, and even across an
 // unlink of the file itself. Also proves the serve-path equivalences
-// the tentpole claims: v3 (materialized) and v4 (mapped) loads of the
-// same corpus answer the full stored workload byte-identically, and a
+// the zero-copy layout claims: a mapped v4 load answers the full stored
+// workload byte-identically to the heap-built corpus it was saved from,
+// and a
 // mapped corpus partitions into shards that scatter-gather to the same
 // bytes as the unsharded serve.
 
@@ -103,40 +104,41 @@ TEST_F(MmapServingTest, ResponsesSurviveSwapAndUnlink) {
   EXPECT_TRUE(after.status.IsFailedPrecondition()) << after.status;
 }
 
-TEST_F(MmapServingTest, MappedAndMaterializedAnswersAreByteIdentical) {
-  // Full-workload cross-version gate: the same corpus saved at v3
-  // (materialized load) and v4 (zero-copy load) must serve every stored
-  // workload query with byte-identical digests.
-  const std::string v3_path = TempPath("xver3");
-  const std::string v4_path = TempPath("xver4");
-  WWT_CHECK_OK(SaveSnapshotAtVersion(GetCorpus(), MmapOptions(), v3_path, 3));
-  WWT_CHECK_OK(SaveSnapshot(GetCorpus(), MmapOptions(), v4_path));
+TEST_F(MmapServingTest, MappedAndHeapBuiltAnswersAreByteIdentical) {
+  // Full-workload built-vs-mapped gate: the corpus served from its
+  // in-memory build and from its zero-copy v4 load must answer every
+  // stored workload query with byte-identical digests.
+  const std::string path = TempPath("built_vs_mapped");
+  WWT_CHECK_OK(SaveSnapshot(GetCorpus(), MmapOptions(), path));
 
-  StatusOr<std::unique_ptr<WwtService>> v3 =
-      WwtService::FromSnapshot(v3_path);
-  StatusOr<std::unique_ptr<WwtService>> v4 =
-      WwtService::FromSnapshot(v4_path);
-  ASSERT_TRUE(v3.ok()) << v3.status();
-  ASSERT_TRUE(v4.ok()) << v4.status();
-  EXPECT_EQ((*v3)->Stats().corpus_format, 3u);
-  EXPECT_EQ((*v3)->Stats().mapped_bytes, 0u);
-  EXPECT_EQ((*v4)->Stats().corpus_format, 4u);
-  EXPECT_GT((*v4)->Stats().mapped_bytes, 0u);
+  StatusOr<std::unique_ptr<WwtService>> built = WwtService::Create();
+  ASSERT_TRUE(built.ok()) << built.status();
+  (*built)->SwapCorpus(CorpusHandle::Borrow(&GetCorpus()));
+  StatusOr<std::unique_ptr<WwtService>> mapped =
+      WwtService::FromSnapshot(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_EQ((*built)->Stats().corpus_format, 0u);
+  EXPECT_EQ((*built)->Stats().mapped_bytes, 0u);
+  EXPECT_GT((*built)->Stats().heap_bytes, 0u);
+  EXPECT_EQ((*mapped)->Stats().corpus_format, kSnapshotFormatVersion);
+  EXPECT_GT((*mapped)->Stats().mapped_bytes, 0u);
 
-  const auto queries = WorkloadQueries((*v3)->corpus()->queries());
-  BatchResponse v3_batch = (*v3)->RunBatch(queries);
-  BatchResponse v4_batch = (*v4)->RunBatch(queries);
-  ASSERT_EQ(v3_batch.responses.size(), queries.size());
-  ASSERT_EQ(v4_batch.responses.size(), queries.size());
+  const auto queries = WorkloadQueries(GetCorpus().queries);
+  ASSERT_EQ(WorkloadQueries((*mapped)->corpus()->queries()), queries);
+  BatchResponse built_batch = (*built)->RunBatch(queries);
+  BatchResponse mapped_batch = (*mapped)->RunBatch(queries);
+  ASSERT_EQ(built_batch.responses.size(), queries.size());
+  ASSERT_EQ(mapped_batch.responses.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(v3_batch.responses[i].ok()) << v3_batch.responses[i].status;
-    ASSERT_TRUE(v4_batch.responses[i].ok()) << v4_batch.responses[i].status;
-    EXPECT_EQ(ResultDigest(v4_batch.responses[i]),
-              ResultDigest(v3_batch.responses[i]))
+    ASSERT_TRUE(built_batch.responses[i].ok())
+        << built_batch.responses[i].status;
+    ASSERT_TRUE(mapped_batch.responses[i].ok())
+        << mapped_batch.responses[i].status;
+    EXPECT_EQ(ResultDigest(mapped_batch.responses[i]),
+              ResultDigest(built_batch.responses[i]))
         << "query " << i;
   }
-  std::remove(v3_path.c_str());
-  std::remove(v4_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST_F(MmapServingTest, PartitionedMappedCorpusMatchesUnsharded) {

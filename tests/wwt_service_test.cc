@@ -6,10 +6,14 @@
 // stable per (request, corpus) and move with the corpus hash, and —
 // the hot-swap contract — a SwapCorpus racing an in-flight RunBatch
 // must leave the batch byte-identical on the old snapshot while new
-// submissions see the new one. Labeled "slow" (corpus builds); CI runs
-// it on pushes to main, the sanitizer job makes the race test a
-// TSan/ASan-grade check.
+// submissions see the new one. Retrieval-only batches must match serial
+// WwtEngine::Retrieve, and the shared read paths (index, store, sparse
+// vectors) must hold up under concurrent probing. Labeled "slow" (corpus
+// builds); CI runs it on pushes to main, the sanitizer job makes the
+// race tests TSan/ASan-grade checks.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -133,7 +137,12 @@ TEST_F(WwtServiceCorpusTest, RunBatchKeepsBatchStats) {
   EXPECT_NEAR(merged, summed, 1e-9);
   EXPECT_TRUE(st.stage_latency.count(kStage1stIndex));
 
-  // Concurrency clamp semantics match the old QueryRunner.
+  // Concurrency beyond the pool width is clamped, not an error; the
+  // stats report the shards actually used (never more than queries).
+  BatchResponse empty = service->RunBatch(
+      std::vector<std::vector<std::string>>{});
+  EXPECT_TRUE(empty.responses.empty());
+  EXPECT_EQ(empty.stats.num_queries, 0u);
   EXPECT_EQ(service->RunBatch({{"country", "population"}}, 99)
                 .stats.concurrency,
             1);
@@ -264,6 +273,85 @@ TEST_F(WwtServiceCorpusTest, FingerprintStableAcrossSubmissionsAndCorpora) {
   QueryResponse other = service->Run(QueryRequest::Of(q));
   ASSERT_TRUE(other.ok());
   EXPECT_NE(other.fingerprint, first.fingerprint);
+}
+
+TEST_F(WwtServiceCorpusTest, RetrievalOnlyBatchMatchesSerialRetrieve) {
+  const Shared& s = GetShared();
+  const auto queries = WorkloadQueries(s.corpus_a);
+  ASSERT_FALSE(queries.empty());
+  WwtEngine engine(&s.corpus_a.store, s.corpus_a.index.get(), {});
+
+  auto service = ServiceOver(&s.corpus_a, kHashA, 4);
+  std::vector<QueryRequest> requests;
+  for (const auto& q : queries) {
+    QueryRequest request = QueryRequest::Of(q);
+    request.retrieval_only = true;
+    requests.push_back(std::move(request));
+  }
+  BatchResponse batch = service->RunBatch(std::move(requests), 4);
+  ASSERT_EQ(batch.responses.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryResponse& r = batch.responses[i];
+    ASSERT_TRUE(r.ok()) << r.status;
+    Query q = Query::Parse(queries[i], *s.corpus_a.index);
+    RetrievalResult serial = engine.Retrieve(q, nullptr);
+    ASSERT_EQ(r.retrieval.tables.size(), serial.tables.size())
+        << "query #" << i;
+    for (size_t t = 0; t < serial.tables.size(); ++t) {
+      EXPECT_EQ(r.retrieval.tables[t].table.id, serial.tables[t].table.id);
+    }
+    EXPECT_EQ(r.retrieval.used_second_probe, serial.used_second_probe);
+    // Mapping/answer stay empty on the retrieval-only path.
+    EXPECT_TRUE(r.mapping.tables.empty());
+    EXPECT_TRUE(r.answer.rows.empty());
+  }
+}
+
+// Regression test for the shared-read-path audit: the index, store and
+// prebuilt candidate vectors are hammered from many threads at once.
+// Under ASan/UBSan (the CI sanitizer job) a lazily-mutating "const" read
+// path — like SparseVector's old compact-on-read — corrupts or races
+// here.
+TEST_F(WwtServiceCorpusTest, SharedReadPathsSurviveConcurrentProbes) {
+  const Corpus& c = GetShared().corpus_a;
+  const TableIndex& index = *c.index;
+
+  // A shared dirty vector: const reads must not mutate it.
+  SparseVector shared_dirty;
+  for (TermId t = 0; t < 64; ++t) shared_dirty.Add(t % 8, 1.0);
+  ASSERT_FALSE(shared_dirty.compacted());
+  const SparseVector& dirty_ref = shared_dirty;
+
+  std::vector<ScoredDoc> expect_hits =
+      index.Search({"country", "population"}, 10);
+
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::atomic<bool> ok{true};
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&] {
+      for (int iter = 0; iter < 20; ++iter) {
+        std::vector<ScoredDoc> hits =
+            index.Search({"country", "population"}, 10);
+        if (hits.size() != expect_hits.size()) ok = false;
+        for (size_t i = 0; i < hits.size(); ++i) {
+          if (hits[i].doc != expect_hits[i].doc) ok = false;
+        }
+        index.MatchAllInHeaderOrContext({"country"});
+        index.MatchAllInContent({"india"});
+        for (TableId id = 0; id < std::min<TableId>(c.store.size(), 16);
+             ++id) {
+          if (!c.store.Get(id).ok()) ok = false;
+        }
+        // Concurrent reads of one dirty vector: correct sums, no mutation.
+        if (dirty_ref.Get(3) != 8.0) ok = false;
+        if (dirty_ref.NormSquared() != 8 * 64.0) ok = false;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(ok.load());
+  EXPECT_FALSE(shared_dirty.compacted()) << "const read mutated the vector";
 }
 
 }  // namespace

@@ -17,8 +17,9 @@
 //   wwt_indexer --inspect PATH [--format text|json]
 //
 // Without --force an existing artifact (snapshot, or manifest + every
-// shard) that already matches the requested parameters is kept as-is
-// (the CI cache path). --inspect understands both `.wwtsnap` and
+// shard) that already matches the requested parameters AND passes its
+// payload checksum is kept as-is (the CI cache path); a stale or
+// corrupted one is rebuilt. --inspect understands both `.wwtsnap` and
 // `.wwtset` files; `--format json` emits one machine-readable object
 // (version, content hash, per-section byte sizes, per-shard manifest
 // entries) for scripting. Exit code 0 on success; every failure is one
@@ -29,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "fresh/delta_shard.h"
 #include "index/snapshot.h"
@@ -198,10 +200,20 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+/// True when the snapshot at `path` passes InspectSnapshot — header,
+/// META and the payload checksum — and was built with `options`.
+bool SnapshotIsFresh(const std::string& path,
+                     const wwt::CorpusOptions& options,
+                     wwt::SnapshotInfo* info) {
+  wwt::StatusOr<wwt::SnapshotInfo> inspected = wwt::InspectSnapshot(path);
+  if (!inspected.ok()) return false;
+  *info = std::move(inspected).value();
+  return wwt::SnapshotMatchesOptions(*info, options);
+}
+
 /// True when `manifest` (loaded from `path`) matches the requested
-/// parameters AND every shard file it names still carries the recorded
-/// content hash — the sharded equivalent of BuildOrLoadCorpus's
-/// keep-if-fresh check.
+/// parameters AND every shard file it names passes its payload checksum
+/// and still carries the recorded content hash.
 bool ShardedSetIsFresh(const wwt::SetManifest& manifest,
                        const std::string& path,
                        const wwt::CorpusOptions& options, int shards) {
@@ -347,22 +359,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (force) {
-    // Ignore any existing file: generate and overwrite.
-    std::remove(out.c_str());
-  }
   wwt::WallTimer timer;
-  wwt::BuildOrLoadResult result = wwt::BuildOrLoadCorpus(options, out);
-  if (result.info.format_version == 0) {
-    // BuildOrLoadCorpus tolerates a failed save (benches can serve the
-    // in-memory corpus); the indexer's sole job is the artifact.
-    std::fprintf(stderr, "wwt_indexer: snapshot was not written to '%s'\n",
-                 out.c_str());
-    return 1;
+  wwt::SnapshotInfo info;
+  if (!force && SnapshotIsFresh(out, options, &info)) {
+    std::printf("validated existing snapshot in %.2f s\n",
+                timer.ElapsedSeconds());
+    PrintInfo(info, out);
+    return 0;
   }
-  std::printf("%s snapshot in %.2f s\n",
-              result.loaded ? "validated existing" : "built",
-              timer.ElapsedSeconds());
-  PrintInfo(result.info, out);
+  wwt::Corpus corpus = wwt::GenerateCorpus(options);
+  wwt::Status saved = wwt::SaveSnapshot(corpus, options, out, &info);
+  if (!saved.ok()) return Fail(saved.ToString());
+  std::printf("built snapshot in %.2f s\n", timer.ElapsedSeconds());
+  PrintInfo(info, out);
   return 0;
 }

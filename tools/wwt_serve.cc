@@ -1183,7 +1183,7 @@ int main(int argc, char** argv) {
                 ss.heap_bytes / (1024.0 * 1024.0),
                 ss.mapped_bytes > 0 ? " (zero-copy serve)" : "");
     std::printf("cold start: %.3f s load vs corpus rebuild (see "
-                "bench_throughput for the ratio)\n",
+                "bench_coldstart for the ratio)\n",
                 load_seconds);
   }
   if (json) {
